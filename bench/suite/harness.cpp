@@ -80,8 +80,8 @@ const char *rjit::suite::argStr(int Argc, char **Argv,
 }
 
 void rjit::suite::printStats(const char *Label, const VmStats &S) {
-  // Registry-driven: the schema (names, membership) lives in
-  // obs/metrics.cpp, shared with the JSON emission below — per-bench
+  // Registry-driven: the schema (names, membership) is the row table in
+  // support/stats.h, shared with the JSON emission below — per-bench
   // printf lists cannot drift from the serialized counters.
   printf("# stats[%s]:", Label);
   bool Any = false;

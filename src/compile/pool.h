@@ -33,7 +33,8 @@ namespace rjit {
 
 class CompilerPool {
 public:
-  explicit CompilerPool(unsigned Threads = 2, size_t QueueCapacity = 256);
+  /// The queue keeps CompileQueue's default bound (backpressure).
+  explicit CompilerPool(unsigned Threads = 2);
   ~CompilerPool();
   CompilerPool(const CompilerPool &) = delete;
   CompilerPool &operator=(const CompilerPool &) = delete;

@@ -62,12 +62,6 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
     obs::traceEvent(obs::TraceEv::CompileStart, 0, E->ObsId,
                     obs::CompileKindFn);
 
-  OptOptions O;
-  O.Speculate = Opts.Speculate;
-  O.Inline = Opts.Inline;
-  O.Loop = Opts.Loop;
-  O.VerifyEachPass = Opts.VerifyBetweenPasses;
-  O.Backend = Opts.Backend;
   EntryState Entry;
   if (!Want.isGeneric()) {
     // Seed inference with the argument types the dispatch guarantees.
@@ -82,9 +76,9 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   // generic root only: FullEnv code takes its arguments through the
   // environment, so a context specialization cannot reach it).
   std::unique_ptr<IrCode> Ir =
-      optimizeToIr(Fn, CallConv::FullElided, Entry, O);
+      optimizeToIr(Fn, CallConv::FullElided, Entry, Opts.Opt);
   if (!Ir && Want.isGeneric())
-    Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), O);
+    Ir = optimizeToIr(Fn, CallConv::FullEnv, EntryState(), Opts.Opt);
   if (!Ir) {
     if (!Want.isGeneric()) {
       // Specialization impossible (no elidable environment): burn the
@@ -113,7 +107,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   }
 
   std::unique_ptr<ExecutableCode> Exec =
-      prepareExecutable(Opts.Backend, lowerToLow(*Ir));
+      prepareExecutable(Opts.Opt.Backend, lowerToLow(*Ir));
   uint64_t Dur = nowNanos() - T0;
   obs::metrics().CompileLatency.record(Dur);
   if (obs::traceOn()) {
@@ -150,7 +144,7 @@ FnVersion *rjit::compileAndPublishVersion(Function *Fn,
   // nothing to link (and re-notifying an already-linked version is
   // idempotent).
   if (E->live())
-    backendOr(Opts.Backend).notifyPublish(Fn, E);
+    backendOr(Opts.Opt.Backend).notifyPublish(Fn, E);
   return E;
 }
 

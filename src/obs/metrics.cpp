@@ -33,110 +33,53 @@ static VmMetrics GlobalMetrics;
 
 VmMetrics &rjit::obs::metrics() { return GlobalMetrics; }
 
-void rjit::obs::resetMetrics() {
-  GlobalMetrics.CompileLatency.reset();
-  GlobalMetrics.QueueWait.reset();
-  GlobalMetrics.DeoptPause.reset();
-  GlobalMetrics.Iteration.reset();
-  GlobalMetrics.GcPause.reset();
-}
+void rjit::obs::resetMetrics() { GlobalMetrics = VmMetrics(); }
 
 namespace {
 
-/// The counter schema: stable snake_case names (the JSON/report keys) in
-/// declaration order of VmStats. Keep in sync with support/stats.h and
-/// the metrics glossary in README "Observability".
-struct CounterDesc {
-  const char *Name;
-  RelaxedCounter VmStats::*Member;
-};
+using CounterFn = MetricsRegistry::CounterFn;
+using GaugeFn = MetricsRegistry::GaugeFn;
 
-constexpr CounterDesc Counters[] = {
-    {"compilations", &VmStats::Compilations},
-    {"osr_in_compilations", &VmStats::OsrInCompilations},
-    {"osr_in_entries", &VmStats::OsrInEntries},
-    {"deopts", &VmStats::Deopts},
-    {"deoptless_attempts", &VmStats::DeoptlessAttempts},
-    {"deoptless_hits", &VmStats::DeoptlessHits},
-    {"deoptless_compiles", &VmStats::DeoptlessCompiles},
-    {"deoptless_rejected", &VmStats::DeoptlessRejected},
-    {"assume_checks", &VmStats::AssumeChecks},
-    {"assume_failures", &VmStats::AssumeFailures},
-    {"injected_failures", &VmStats::InjectedFailures},
-    {"reoptimizations", &VmStats::Reoptimizations},
-    {"ctx_versions", &VmStats::CtxVersions},
-    {"ctx_dispatch_hits", &VmStats::CtxDispatchHits},
-    {"ctx_dispatch_misses", &VmStats::CtxDispatchMisses},
-    {"inlined_calls", &VmStats::InlinedCalls},
-    {"hoisted_instrs", &VmStats::HoistedInstrs},
-    {"hoisted_guards", &VmStats::HoistedGuards},
-    {"eliminated_guards", &VmStats::EliminatedGuards},
-    {"multi_frame_deopts", &VmStats::MultiFrameDeopts},
-    {"inline_frames_materialized", &VmStats::InlineFramesMaterialized},
-    {"deoptless_inline_dispatches", &VmStats::DeoptlessInlineDispatches},
-    {"async_compiles", &VmStats::AsyncCompiles},
-    {"warmup_pauses_avoided", &VmStats::WarmupPausesAvoided},
-    {"native_compiles", &VmStats::NativeCompiles},
-    {"native_enters", &VmStats::NativeEnters},
-    {"native_linked_transfers", &VmStats::NativeLinkedTransfers},
-    {"native_fused_ops", &VmStats::NativeFusedOps},
-    {"native_reg_spills", &VmStats::NativeRegSpills},
-    {"gc_collections", &VmStats::GcCollections},
-    {"gc_freed_bytes", &VmStats::GcFreedBytes},
-};
-
-struct GaugeDesc {
-  const char *Name;
-  RelaxedGauge VmStats::*Member;
-};
-
-constexpr GaugeDesc Gauges[] = {
-    {"compile_queue_depth", &VmStats::CompileQueueDepth},
-    {"graveyard_size", &VmStats::GraveyardSize},
-    {"heap_live_bytes", &VmStats::HeapLiveBytes},
-};
-
-struct HistDesc {
-  const char *Name;
-  LatencyHistogram VmMetrics::*Member;
-};
-
-constexpr HistDesc Hists[] = {
-    {"compile_latency_ns", &VmMetrics::CompileLatency},
-    {"queue_wait_ns", &VmMetrics::QueueWait},
-    {"deopt_pause_ns", &VmMetrics::DeoptPause},
-    {"iteration_ns", &VmMetrics::Iteration},
-    {"gc_pause_ns", &VmMetrics::GcPause},
-};
+// Kind dispatch for the RJIT_VM_STATS rows: each visitor sees only the
+// rows of its own kind.
+void visitCounter(const char *Name, const RelaxedCounter &C,
+                  const CounterFn &Fn) {
+  Fn(Name, C.load());
+}
+void visitCounter(const char *, const RelaxedGauge &, const CounterFn &) {}
+void visitGauge(const char *, const RelaxedCounter &, const GaugeFn &) {}
+void visitGauge(const char *Name, const RelaxedGauge &G, const GaugeFn &Fn) {
+  Fn(Name, G.value(), G.highWater());
+}
 
 } // namespace
 
-void MetricsRegistry::forEachCounter(
-    const VmStats &S,
-    const std::function<void(const char *, uint64_t)> &Fn) {
-  for (const CounterDesc &D : Counters)
-    Fn(D.Name, (S.*D.Member).load());
+void MetricsRegistry::forEachCounter(const VmStats &S, const CounterFn &Fn) {
+#define RJIT_STAT_VISIT(Member, Name, Kind, Help)                             \
+  visitCounter(Name, S.Member, Fn);
+  RJIT_VM_STATS(RJIT_STAT_VISIT)
+#undef RJIT_STAT_VISIT
 }
 
-void MetricsRegistry::forEachGauge(
-    const VmStats &S,
-    const std::function<void(const char *, uint64_t, uint64_t)> &Fn) {
-  for (const GaugeDesc &D : Gauges)
-    Fn(D.Name, (S.*D.Member).value(), (S.*D.Member).highWater());
+void MetricsRegistry::forEachGauge(const VmStats &S, const GaugeFn &Fn) {
+#define RJIT_STAT_VISIT(Member, Name, Kind, Help) visitGauge(Name, S.Member, Fn);
+  RJIT_VM_STATS(RJIT_STAT_VISIT)
+#undef RJIT_STAT_VISIT
 }
 
-void MetricsRegistry::forEachHistogram(
-    const VmMetrics &M,
-    const std::function<void(const char *, const LatencyHistogram &)>
-        &Fn) {
-  for (const HistDesc &D : Hists)
-    Fn(D.Name, M.*D.Member);
+void MetricsRegistry::forEachHistogram(const VmMetrics &M,
+                                       const HistogramFn &Fn) {
+#define RJIT_HIST_VISIT(Member, Name, Help) Fn(Name, M.Member);
+  RJIT_VM_HISTOGRAMS(RJIT_HIST_VISIT)
+#undef RJIT_HIST_VISIT
 }
 
 VmMetrics MetricsRegistry::snapshotAndReset() {
   VmMetrics Out;
-  for (const HistDesc &D : Hists)
-    Out.*D.Member = (GlobalMetrics.*D.Member).drain();
+#define RJIT_HIST_DRAIN(Member, Name, Help)                                   \
+  Out.Member = GlobalMetrics.Member.drain();
+  RJIT_VM_HISTOGRAMS(RJIT_HIST_DRAIN)
+#undef RJIT_HIST_DRAIN
   return Out;
 }
 

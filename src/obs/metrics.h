@@ -118,16 +118,29 @@ private:
   RelaxedCounter MaxV;
 };
 
+/// The histogram schema, one row per metric:
+///
+///   X(Member, "snake_case_name", "help")
+///
+/// The rows generate the VmMetrics members and every MetricsRegistry walk
+/// over them; the snake_case name is the stable report and BENCH JSON
+/// key. Adding a histogram is adding a row here.
+#define RJIT_VM_HISTOGRAMS(X)                                                \
+  X(CompileLatency, "compile_latency_ns",                                    \
+    "optimize+lower+prepare, per compile")                                   \
+  X(QueueWait, "queue_wait_ns", "enqueue -> job start (background)")         \
+  X(DeoptPause, "deopt_pause_ns",                                            \
+    "guard failure -> baseline resume (frame materialization; the part of "  \
+    "a deopt that is pure pause)")                                           \
+  X(Iteration, "iteration_ns", "bench-harness per-iteration time")           \
+  X(GcPause, "gc_pause_ns",                                                  \
+    "stop-the-world heap cycle-collection pause (mark + sweep, per pass)")
+
 /// The process-wide duration metrics, reset alongside VmStats.
 struct VmMetrics {
-  LatencyHistogram CompileLatency; ///< optimize+lower+prepare, per compile
-  LatencyHistogram QueueWait;      ///< enqueue -> job start (background)
-  LatencyHistogram DeoptPause;     ///< guard failure -> baseline resume
-                                   ///< (frame materialization; the part of
-                                   ///< a deopt that is pure pause)
-  LatencyHistogram Iteration;      ///< bench-harness per-iteration time
-  LatencyHistogram GcPause;        ///< stop-the-world heap cycle-collection
-                                   ///< pause (mark + sweep, per pass)
+#define RJIT_HIST_MEMBER(Member, Name, Help) LatencyHistogram Member;
+  RJIT_VM_HISTOGRAMS(RJIT_HIST_MEMBER)
+#undef RJIT_HIST_MEMBER
 };
 
 VmMetrics &metrics();
@@ -139,21 +152,19 @@ void resetMetrics();
 /// read from the snapshot/instance passed to each visit.
 class MetricsRegistry {
 public:
+  using CounterFn = std::function<void(const char *, uint64_t)>;
+  using GaugeFn = std::function<void(const char *, uint64_t, uint64_t)>;
+  using HistogramFn =
+      std::function<void(const char *, const LatencyHistogram &)>;
+
   /// Visits each counter of \p S as (name, value).
-  static void
-  forEachCounter(const VmStats &S,
-                 const std::function<void(const char *, uint64_t)> &Fn);
+  static void forEachCounter(const VmStats &S, const CounterFn &Fn);
 
   /// Visits each gauge of \p S as (name, current, high-water).
-  static void forEachGauge(
-      const VmStats &S,
-      const std::function<void(const char *, uint64_t, uint64_t)> &Fn);
+  static void forEachGauge(const VmStats &S, const GaugeFn &Fn);
 
   /// Visits each histogram of \p M as (name, histogram).
-  static void forEachHistogram(
-      const VmMetrics &M,
-      const std::function<void(const char *, const LatencyHistogram &)>
-          &Fn);
+  static void forEachHistogram(const VmMetrics &M, const HistogramFn &Fn);
 
   /// One-line-per-metric human dump of the nonzero counters/gauges and
   /// populated histograms (the bench harness's stats printer).

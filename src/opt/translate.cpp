@@ -63,7 +63,7 @@ public:
       : Fn(Fn), Conv(Conv), Entry(Entry), Opts(Opts) {}
 
   std::unique_ptr<IrCode> run() {
-    bool Elidable = Opts.ElideEnv && envIsElidable(*Fn);
+    bool Elidable = envIsElidable(*Fn);
     switch (Conv) {
     case CallConv::FullEnv:
       RealEnv = true;
@@ -898,7 +898,14 @@ private:
     // The sequence slot is never reassigned inside the loop, so its
     // header phi is trivial; peek through it to the invariant definition
     // (the phi itself is later removed by trivial-phi elimination).
-    while (Seq->Op == IrOp::Phi && !Seq->Ops.empty()) {
+    // Not so for a loop enclosing a continuation's entry pc: its header is
+    // reached from the prologue (or first over a back edge out of the
+    // entry region), and each later trip through the enclosing code
+    // re-enters it with a fresh sequence. Its header phi is a real merge
+    // whose other incoming values are not delivered yet, so neither the
+    // peek nor the preheader hoist below is sound there.
+    const bool EnclosesEntry = Pc <= Entry.Pc && Entry.Pc < I.B;
+    while (!EnclosesEntry && Seq->Op == IrOp::Phi && !Seq->Ops.empty()) {
       Instr *First = Seq->Ops[0];
       bool AllSame = true;
       for (Instr *Op : Seq->Ops)
@@ -926,7 +933,8 @@ private:
       // sequence is loop invariant, so the guard can only fail on first
       // entry, where the preheader's state (header-phi incoming values)
       // is the correct deopt state.
-      BB *H = CurBb->Preds.size() == 1 ? CurBb->Preds[0] : nullptr;
+      BB *H = !EnclosesEntry && CurBb->Preds.size() == 1 ? CurBb->Preds[0]
+                                                         : nullptr;
       if (H && H != CurBb && H->terminated()) {
         auto MapV = [&](Instr *V) {
           return (V->Op == IrOp::Phi && V->Parent == CurBb && !V->Ops.empty())

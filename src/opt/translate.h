@@ -75,10 +75,9 @@ struct LoopOptOptions {
   bool ElimRedundantGuards = true;///< drop guards dominated by equivalents
 };
 
-/// The one definition of "debug builds verify between passes": every
-/// config struct that carries the knob (Vm::Config, VersionCompileOpts,
-/// OsrInConfig, DeoptlessConfig) defaults from this constant so the tiers
-/// cannot drift apart.
+/// The one definition of "debug builds verify between passes": both
+/// declarations of the knob (Vm::Config and OptOptions) default from this
+/// constant so the tiers cannot drift apart.
 #ifndef NDEBUG
 inline constexpr bool VerifyPassesDefault = true;
 #else
@@ -87,12 +86,13 @@ inline constexpr bool VerifyPassesDefault = false;
 
 class ExecBackend;
 
-/// Translation/optimization knobs.
+/// Translation/optimization knobs: the one declaration of the compile
+/// knob set. Every compile entry point — whole-function versions
+/// (VersionCompileOpts), OSR-in (OsrInConfig) and deoptless continuations
+/// (DeoptlessConfig) — carries one of these, built once by the Vm
+/// (Vm::Config::optOptions), so the tiers cannot drift apart.
 struct OptOptions {
   bool Speculate = true;       ///< insert Assume guards from feedback
-  bool ElideEnv = true;        ///< allow environment elision
-  bool TypedOps = true;        ///< strength-reduce generic ops
-  bool FoldConstants = true;
   InlineOptions Inline;
   LoopOptOptions Loop;
   /// Run the IR verifier between every optimization pass (the invariant

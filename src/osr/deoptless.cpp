@@ -176,7 +176,7 @@ std::unique_ptr<ExecutableCode> compileContinuation(Function *Fn,
   Partial.replace(Fn, repairedContinuationFeedback(
                           Fn, Ctx, deoptlessConfig().FeedbackCleanup));
   SnapshotScope Scope(Partial);
-  return compileContinuationCode(Fn, Ctx, deoptlessConfig().optView());
+  return compileContinuationCode(Fn, Ctx, deoptlessConfig().Opt);
 }
 
 } // namespace
@@ -307,8 +307,7 @@ bool rjit::tryDeoptless(const LowFunction &F, std::vector<Value> &Slots,
   // Recompile heuristic: a hit that is strictly more generic than the
   // current context is replaced by a fresh specialization while the table
   // has room.
-  bool TooGeneric = Cont && deoptlessConfig().RecompileHeuristic &&
-                    !(Cont->Ctx <= Ctx) && !Table.full();
+  bool TooGeneric = Cont && !(Cont->Ctx <= Ctx) && !Table.full();
   if (!Cont || TooGeneric) {
     if (auto *Async = deoptlessConfig().AsyncCompile) {
       // Background mode: request the continuation and keep going. A miss

@@ -83,35 +83,17 @@ private:
 
 /// Deoptless tuning knobs (paper defaults). This is a *derived view*:
 /// Vm::Config is the single source of truth, and the Vm installs the
-/// values via configureDeoptless (see Vm::Config::deoptlessView).
+/// values via configureDeoptless when it is constructed.
 /// Standalone unit tests may call configureDeoptless directly.
 struct DeoptlessConfig {
   bool Enabled = false;
   bool FeedbackCleanup = true; ///< the §4.3 cleanup pass (ablation toggle)
   uint32_t MaxContinuations = 5;
-  bool RecompileHeuristic = true; ///< recompile when a match is too generic
-  /// Speculative inlining inside continuation compiles (mirrors the Vm's
-  /// Inlining knobs so continuations keep the tier's code quality).
-  InlineOptions Inline;
-  /// Loop optimization layer inside continuation compiles (mirrors
-  /// Vm::Config::LoopOpts): a continuation entered at a preheader-pc
-  /// frame state re-optimizes the loop it resumes into.
-  LoopOptOptions Loop;
-  /// Between-pass IR verification (Vm::Config::VerifyBetweenPasses).
-  bool VerifyBetweenPasses = VerifyPassesDefault;
-  /// Execution backend continuations are prepared for (null =
-  /// interpreter); installed by the Vm alongside the other knobs.
-  ExecBackend *Backend = nullptr;
-
-  /// The optimizer knob set a continuation compile runs under.
-  OptOptions optView() const {
-    OptOptions O;
-    O.Inline = Inline;
-    O.Loop = Loop;
-    O.VerifyEachPass = VerifyBetweenPasses;
-    O.Backend = Backend;
-    return O;
-  }
+  /// The optimizer knob set continuation compiles run under, installed by
+  /// the Vm (the same set its whole-function versions use, so
+  /// continuations keep the tier's code quality): a continuation entered
+  /// at a preheader-pc frame state re-optimizes the loop it resumes into.
+  OptOptions Opt;
   /// Background compilation: when set, a continuation miss *requests* an
   /// async compile through this hook and falls back to a true
   /// deoptimization for the current failure; once the continuation is

@@ -37,6 +37,11 @@ bool rjit::osrInBlacklisted(Function *Fn) { return blacklist().count(Fn); }
 
 void rjit::osrInBlacklist(Function *Fn) { blacklist().insert(Fn); }
 
+void rjit::resetOsrIn() {
+  osrInConfig() = OsrInConfig();
+  blacklist().clear();
+}
+
 EntryState rjit::buildOsrEntryState(Function *Fn, Env *E,
                                     const std::vector<Value> &Stack,
                                     int32_t Pc) {
@@ -78,16 +83,16 @@ Value rjit::enterOsrContinuation(ExecutableCode &Code,
 
 bool rjit::osrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
                      int32_t Pc, Value &Result) {
-  if (!osrInConfig().Enabled || blacklist().count(Fn))
+  if (!osrInConfig().Enabled || osrInBlacklisted(Fn))
     return false;
 
   EntryState Entry = buildOsrEntryState(Fn, E, Stack, Pc);
 
-  OptOptions Opts = osrInConfig().optView();
+  const OptOptions &Opts = osrInConfig().Opt;
   uint64_t T0 = nowNanos();
   std::unique_ptr<IrCode> Ir = optimizeToIr(Fn, CallConv::OsrIn, Entry, Opts);
   if (!Ir) {
-    blacklist().insert(Fn);
+    osrInBlacklist(Fn);
     return false;
   }
   std::unique_ptr<ExecutableCode> Code =

@@ -27,28 +27,11 @@ namespace rjit {
 /// OSR-in knobs.
 struct OsrInConfig {
   bool Enabled = false;
-  /// Speculative inlining inside OSR-in continuation compiles (mirrors
-  /// the Vm's Inlining knobs).
-  InlineOptions Inline;
-  /// Loop optimization layer inside OSR-in compiles (mirrors
-  /// Vm::Config::LoopOpts). OSR-in entry blocks *are* loop headers, so
-  /// preheader synthesis and guard re-anchoring must hold here too.
-  LoopOptOptions Loop;
-  /// Between-pass IR verification (Vm::Config::VerifyBetweenPasses).
-  bool VerifyBetweenPasses = VerifyPassesDefault;
-  /// Execution backend OSR-in continuations are prepared for (null =
-  /// interpreter); installed by the Vm alongside the other knobs.
-  ExecBackend *Backend = nullptr;
-
-  /// The optimizer knob set an OSR-in compile runs under.
-  OptOptions optView() const {
-    OptOptions O;
-    O.Inline = Inline;
-    O.Loop = Loop;
-    O.VerifyEachPass = VerifyBetweenPasses;
-    O.Backend = Backend;
-    return O;
-  }
+  /// The optimizer knob set OSR-in continuation compiles run under,
+  /// installed by the Vm (the same set its whole-function versions use).
+  /// OSR-in entry blocks *are* loop headers, so preheader synthesis and
+  /// guard re-anchoring must hold here too.
+  OptOptions Opt;
 };
 
 OsrInConfig &osrInConfig();
@@ -73,6 +56,12 @@ Value enterOsrContinuation(ExecutableCode &Code, const EntryState &Entry,
 /// compile failed; don't retry every backedge).
 bool osrInBlacklisted(Function *Fn);
 void osrInBlacklist(Function *Fn);
+
+/// Restores the calling thread's OSR-in state — config and blacklist — to
+/// defaults (Vm teardown). The blacklist must not outlive its Vm: a later
+/// Vm on the thread may allocate a Function at a dead one's address, which
+/// would then silently never be OSR-compiled.
+void resetOsrIn();
 
 } // namespace rjit
 

@@ -147,7 +147,7 @@ GcHeap::CollectStats GcHeap::collect() {
   if (Garbage.empty())
     return R;
 
-  uint64_t LiveBefore = heapStats().LiveBytes.load();
+  uint64_t FreedBefore = threadFreedBytes();
   for (GcObject *O : Garbage)
     O->retain();
   for (GcObject *O : Garbage)
@@ -157,9 +157,8 @@ GcHeap::CollectStats GcHeap::collect() {
                                  "its cycle was severed");
     O->release();
   }
-  uint64_t LiveAfter = heapStats().LiveBytes.load();
 
   R.Collected = Garbage.size();
-  R.FreedBytes = LiveBefore > LiveAfter ? LiveBefore - LiveAfter : 0;
+  R.FreedBytes = threadFreedBytes() - FreedBefore;
   return R;
 }

@@ -51,7 +51,7 @@ public:
   struct CollectStats {
     uint64_t Registered = 0; ///< objects in the registry when the pass ran
     uint64_t Collected = 0;  ///< unreachable cycle members reclaimed
-    uint64_t FreedBytes = 0; ///< LiveBytes drop across the sweep
+    uint64_t FreedBytes = 0; ///< bytes the sweep freed (this thread)
   };
 
   GcHeap() = default;

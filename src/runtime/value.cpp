@@ -91,8 +91,11 @@ Tag rjit::vectorTagOf(Tag ScalarTag) {
 //===----------------------------------------------------------------------===//
 
 static HeapStats TheHeapStats;
+static thread_local uint64_t ThreadFreedBytes = 0;
 
 HeapStats &rjit::heapStats() { return TheHeapStats; }
+
+uint64_t rjit::threadFreedBytes() { return ThreadFreedBytes; }
 
 void rjit::resetHeapPeak() {
   TheHeapStats.PeakBytes = TheHeapStats.LiveBytes;
@@ -131,6 +134,7 @@ void GcObject::retrackAlloc(uint64_t Bytes) {
       H->noteAllocated(Delta);
   } else {
     TheHeapStats.LiveBytes -= TrackedBytes - Bytes;
+    ThreadFreedBytes += TrackedBytes - Bytes;
   }
   TrackedBytes = Bytes;
   stats().HeapLiveBytes.setLevel(TheHeapStats.LiveBytes.load());
@@ -139,6 +143,7 @@ void GcObject::retrackAlloc(uint64_t Bytes) {
 void GcObject::trackFree() {
   assert(TheHeapStats.LiveBytes >= TrackedBytes && "heap accounting skew");
   TheHeapStats.LiveBytes -= TrackedBytes;
+  ThreadFreedBytes += TrackedBytes;
   TrackedBytes = 0;
   stats().HeapLiveBytes.setLevel(TheHeapStats.LiveBytes.load());
 }

@@ -135,6 +135,10 @@ struct HeapStats {
 HeapStats &heapStats();
 /// Resets the peak/total counters (live bytes are left untouched).
 void resetHeapPeak();
+/// Tracked bytes freed (or shrunk away) on the calling thread so far. A
+/// cycle-collector sweep reports the delta of this across its window:
+/// per thread, so other Vms' allocations and frees cannot land in it.
+uint64_t threadFreedBytes();
 
 class GcHeap;
 class GcObject;

@@ -100,19 +100,14 @@ public:
       : Cur(O.value()), High(O.highWater()) {}
   RelaxedGauge &operator=(const RelaxedGauge &O) {
     Cur.store(O.value(), std::memory_order_relaxed);
-    High.store(O.highWater(), std::memory_order_relaxed);
+    High.store(O.highWater());
     return *this;
   }
 
   void add(uint64_t N = 1) {
-    uint64_t Now = Cur.fetch_add(N, std::memory_order_relaxed) + N;
     // Racing maxima may lose an update; benign for a diagnostic
-    // (RelaxedCounter::recordMax has the same contract).
-    uint64_t H = High.load(std::memory_order_relaxed);
-    while (Now > H &&
-           !High.compare_exchange_weak(H, Now, std::memory_order_relaxed,
-                                       std::memory_order_relaxed))
-      ;
+    // (RelaxedCounter::recordMax's contract).
+    High.recordMax(Cur.fetch_add(N, std::memory_order_relaxed) + N);
   }
 
   /// Decrements by \p N, saturating at zero (a concurrent add lost to the
@@ -133,24 +128,25 @@ public:
   /// exact for single-owner gauges, a benign diagnostic race otherwise.
   void setLevel(uint64_t L) {
     Cur.store(L, std::memory_order_relaxed);
-    uint64_t H = High.load(std::memory_order_relaxed);
-    while (L > H &&
-           !High.compare_exchange_weak(H, L, std::memory_order_relaxed,
-                                       std::memory_order_relaxed))
-      ;
+    High.recordMax(L);
+  }
+
+  /// Folds in a later snapshot of the same gauge: its level, and the
+  /// higher of the two high-waters (totals over several snapshots).
+  void absorb(const RelaxedGauge &Later) {
+    setLevel(Later.value());
+    High.recordMax(Later.highWater());
   }
 
   uint64_t value() const { return Cur.load(std::memory_order_relaxed); }
-  uint64_t highWater() const {
-    return High.load(std::memory_order_relaxed);
-  }
+  uint64_t highWater() const { return High.load(); }
 
   /// Comparisons/printing read the current level, like the counter.
   operator uint64_t() const { return value(); }
 
 private:
   std::atomic<uint64_t> Cur{0};
-  std::atomic<uint64_t> High{0};
+  RelaxedCounter High;
 };
 
 } // namespace rjit

@@ -8,50 +8,34 @@
 
 using namespace rjit;
 
+namespace {
+
+// The per-kind rules behind VmStats' operators (see stats.h).
+RelaxedCounter minus(const RelaxedCounter &A, const RelaxedCounter &B) {
+  return A - B;
+}
+RelaxedGauge minus(const RelaxedGauge &Later, const RelaxedGauge &) {
+  return Later;
+}
+void plus(RelaxedCounter &A, const RelaxedCounter &B) { A += B; }
+void plus(RelaxedGauge &A, const RelaxedGauge &Later) { A.absorb(Later); }
+
+} // namespace
+
 VmStats VmStats::operator-(const VmStats &O) const {
   VmStats R;
-  R.Compilations = Compilations - O.Compilations;
-  R.OsrInCompilations = OsrInCompilations - O.OsrInCompilations;
-  R.OsrInEntries = OsrInEntries - O.OsrInEntries;
-  R.Deopts = Deopts - O.Deopts;
-  R.DeoptlessAttempts = DeoptlessAttempts - O.DeoptlessAttempts;
-  R.DeoptlessHits = DeoptlessHits - O.DeoptlessHits;
-  R.DeoptlessCompiles = DeoptlessCompiles - O.DeoptlessCompiles;
-  R.DeoptlessRejected = DeoptlessRejected - O.DeoptlessRejected;
-  R.AssumeChecks = AssumeChecks - O.AssumeChecks;
-  R.AssumeFailures = AssumeFailures - O.AssumeFailures;
-  R.InjectedFailures = InjectedFailures - O.InjectedFailures;
-  R.Reoptimizations = Reoptimizations - O.Reoptimizations;
-  R.CtxVersions = CtxVersions - O.CtxVersions;
-  R.CtxDispatchHits = CtxDispatchHits - O.CtxDispatchHits;
-  R.CtxDispatchMisses = CtxDispatchMisses - O.CtxDispatchMisses;
-  R.InlinedCalls = InlinedCalls - O.InlinedCalls;
-  R.HoistedInstrs = HoistedInstrs - O.HoistedInstrs;
-  R.HoistedGuards = HoistedGuards - O.HoistedGuards;
-  R.EliminatedGuards = EliminatedGuards - O.EliminatedGuards;
-  R.MultiFrameDeopts = MultiFrameDeopts - O.MultiFrameDeopts;
-  R.InlineFramesMaterialized =
-      InlineFramesMaterialized - O.InlineFramesMaterialized;
-  R.DeoptlessInlineDispatches =
-      DeoptlessInlineDispatches - O.DeoptlessInlineDispatches;
-  R.AsyncCompiles = AsyncCompiles - O.AsyncCompiles;
-  // A gauge, not an event counter: a per-phase diff would report nonsense
-  // (e.g. zero when the later phase peaked lower), so the difference
-  // carries the later snapshot's level and high-water unchanged.
-  R.CompileQueueDepth = CompileQueueDepth;
-  R.WarmupPausesAvoided = WarmupPausesAvoided - O.WarmupPausesAvoided;
-  R.NativeCompiles = NativeCompiles - O.NativeCompiles;
-  R.NativeEnters = NativeEnters - O.NativeEnters;
-  R.NativeLinkedTransfers = NativeLinkedTransfers - O.NativeLinkedTransfers;
-  R.NativeFusedOps = NativeFusedOps - O.NativeFusedOps;
-  R.NativeRegSpills = NativeRegSpills - O.NativeRegSpills;
-  // Like CompileQueueDepth: a gauge — the difference carries the later
-  // snapshot's population and high-water, not a meaningless subtraction.
-  R.GraveyardSize = GraveyardSize;
-  R.GcCollections = GcCollections - O.GcCollections;
-  R.GcFreedBytes = GcFreedBytes - O.GcFreedBytes;
-  R.HeapLiveBytes = HeapLiveBytes;
+#define RJIT_STAT_MINUS(Member, Name, Kind, Help)                             \
+  R.Member = minus(Member, O.Member);
+  RJIT_VM_STATS(RJIT_STAT_MINUS)
+#undef RJIT_STAT_MINUS
   return R;
+}
+
+VmStats &VmStats::operator+=(const VmStats &O) {
+#define RJIT_STAT_PLUS(Member, Name, Kind, Help) plus(Member, O.Member);
+  RJIT_VM_STATS(RJIT_STAT_PLUS)
+#undef RJIT_STAT_PLUS
+  return *this;
 }
 
 static VmStats GlobalStats;

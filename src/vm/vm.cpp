@@ -49,19 +49,31 @@ struct DepthGuard {
   ~DepthGuard() { --lowHooks().CallDepth; }
 };
 
-} // namespace
+/// Runs optimized \p Code as a call of \p Clos — the entry tail shared by
+/// full dispatch and direct-linked transfers. FullElided code takes the
+/// arguments directly; FullEnv code gets the environment the baseline
+/// would build.
+Value runVersion(ClosObj *Clos, ExecutableCode &Code,
+                 std::vector<Value> &&Args) {
+  if (Code.low().Conv == CallConv::FullElided)
+    return Code.run(std::move(Args), /*CurEnv=*/nullptr, Clos->Enclosing);
 
-DeoptlessConfig Vm::Config::deoptlessView() const {
-  DeoptlessConfig D;
-  D.Enabled = Strategy == TierStrategy::Deoptless;
-  D.FeedbackCleanup = FeedbackCleanup;
-  D.MaxContinuations = MaxContinuations;
-  D.Inline = inlineView();
-  D.Loop = LoopOpts;
-  D.VerifyBetweenPasses = VerifyBetweenPasses;
-  D.Backend = Backend;
-  return D;
+  Env *E = new Env(Clos->Enclosing);
+  E->retain();
+  for (size_t K = 0; K < Args.size(); ++K)
+    E->set(Clos->Fn->Params[K], std::move(Args[K]));
+  Value Result;
+  try {
+    Result = Code.run({}, E, Clos->Enclosing);
+  } catch (...) {
+    E->release();
+    throw;
+  }
+  E->release();
+  return Result;
 }
+
+} // namespace
 
 InlineOptions Vm::Config::inlineView() const {
   InlineOptions I;
@@ -71,15 +83,14 @@ InlineOptions Vm::Config::inlineView() const {
   return I;
 }
 
-VersionCompileOpts Vm::Config::versionView() const {
-  VersionCompileOpts V;
-  V.Speculate = Speculate;
-  V.Inline = inlineView();
-  V.Loop = LoopOpts;
-  V.VerifyBetweenPasses = VerifyBetweenPasses;
-  V.HashWithContexts = ContextDispatch;
-  V.Backend = Backend;
-  return V;
+OptOptions Vm::Config::optOptions() const {
+  OptOptions O;
+  O.Speculate = Speculate;
+  O.Inline = inlineView();
+  O.Loop = LoopOpts;
+  O.VerifyEachPass = VerifyBetweenPasses;
+  O.Backend = Backend;
+  return O;
 }
 
 TierState &TierRegistry::stateFor(Function *Fn, uint32_t MaxVersions) {
@@ -135,7 +146,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
       }
       if (V->Cfg.BackgroundCompile)
         requestVersionCompile(*V->ActivePool, V, Fn, Ver->Ctx,
-                              &TS.Versions, V->Cfg.versionView());
+                              &TS.Versions, V->CompileOpts);
       else
         V->compileVersion(Fn, Ver->Ctx);
       ++stats().Reoptimizations;
@@ -149,7 +160,7 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
       // synchronous compile becomes one more profiled baseline execution.
       // The version appears to a later call via atomic publication.
       if (requestVersionCompile(*V->ActivePool, V, Fn, Ctx, &TS.Versions,
-                                V->Cfg.versionView()))
+                                V->CompileOpts))
         ++stats().WarmupPausesAvoided;
       Ver = TS.Versions.dispatch(Ctx); // racing publication may be done
     } else {
@@ -177,29 +188,12 @@ Value vmDispatchCall(ClosObj *Clos, std::vector<Value> &&Args) {
       ++stats().CtxDispatchMisses;
   }
 
-  const LowFunction &Low = Code->low();
   if (Args.size() != Fn->Params.size())
     rerror("call to '" + symbolName(Fn->Name) + "': expected " +
            std::to_string(Fn->Params.size()) + " arguments, got " +
            std::to_string(Args.size()));
 
-  if (Low.Conv == CallConv::FullElided)
-    return Code->run(std::move(Args), /*CurEnv=*/nullptr, Clos->Enclosing);
-
-  // FullEnv: build the environment like the baseline would.
-  Env *E = new Env(Clos->Enclosing);
-  E->retain();
-  for (size_t K = 0; K < Args.size(); ++K)
-    E->set(Fn->Params[K], std::move(Args[K]));
-  Value Result;
-  try {
-    Result = Code->run({}, E, Clos->Enclosing);
-  } catch (...) {
-    E->release();
-    throw;
-  }
-  E->release();
-  return Result;
+  return runVersion(Clos, *Code, std::move(Args));
 }
 
 Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
@@ -213,28 +207,12 @@ Value vmLinkedCall(ClosObj *Clos, FnVersion *Ver, ExecutableCode *Code,
   // table lookup, context computation, threshold logic — would have been
   // inert and selected exactly Ver/Code, so transcripts are identical.
   V->dispatchBoundary();
-  Function *Fn = Clos->Fn;
-  ++Fn->CallCount;
+  ++Clos->Fn->CallCount;
   DepthGuard Depth;
   ++Ver->Hits;
   ++stats().NativeLinkedTransfers;
 
-  if (Code->low().Conv == CallConv::FullElided)
-    return Code->run(std::move(Args), /*CurEnv=*/nullptr, Clos->Enclosing);
-
-  Env *E = new Env(Clos->Enclosing);
-  E->retain();
-  for (size_t K = 0; K < Args.size(); ++K)
-    E->set(Fn->Params[K], std::move(Args[K]));
-  Value Result;
-  try {
-    Result = Code->run({}, E, Clos->Enclosing);
-  } catch (...) {
-    E->release();
-    throw;
-  }
-  E->release();
-  return Result;
+  return runVersion(Clos, *Code, std::move(Args));
 }
 
 void vmDeoptListener(Function *Fn, const LowFunction &Code,
@@ -314,7 +292,7 @@ bool vmBackgroundOsrInHook(Function *Fn, Env *E, std::vector<Value> &Stack,
     return true;
   }
   if (requestOsrCompile(*V->ActivePool, V, Fn, Entry, &TS.Osr,
-                        osrInConfig().optView()))
+                        osrInConfig().Opt))
     ++stats().WarmupPausesAvoided;
   return false;
 }
@@ -329,7 +307,7 @@ bool vmAsyncContinuationCompile(Function *Fn, const DeoptContext &Ctx) {
   return requestContinuationCompile(*V->ActivePool, V, Fn, Ctx,
                                     &deoptlessTableFor(Fn),
                                     V->Cfg.FeedbackCleanup,
-                                    deoptlessConfig().optView());
+                                    deoptlessConfig().Opt);
 }
 
 } // namespace rjit
@@ -365,13 +343,14 @@ Vm::Vm(Config C) : Cfg(C) {
   }
   if (!ActiveBackend)
     ActiveBackend = &interpBackend();
-  Cfg.Backend = ActiveBackend; // views (versionView etc.) carry it to jobs
+  Cfg.Backend = ActiveBackend;
+  CompileOpts.Opt = Cfg.optOptions();
+  CompileOpts.HashWithContexts = Cfg.ContextDispatch;
 
   if (Cfg.BackgroundCompile) {
     ActivePool = Cfg.Pool;
     if (!ActivePool) {
-      OwnPool = std::make_unique<CompilerPool>(Cfg.CompilerThreads,
-                                               Cfg.CompileQueueCap);
+      OwnPool = std::make_unique<CompilerPool>(Cfg.CompilerThreads);
       ActivePool = OwnPool.get();
     }
   }
@@ -393,11 +372,12 @@ Vm::Vm(Config C) : Cfg(C) {
   lowHooks().CallDepth = 0;
 
   osrInConfig().Enabled = Cfg.OsrIn;
-  osrInConfig().Inline = Cfg.inlineView();
-  osrInConfig().Loop = Cfg.LoopOpts;
-  osrInConfig().VerifyBetweenPasses = Cfg.VerifyBetweenPasses;
-  osrInConfig().Backend = ActiveBackend;
-  DeoptlessConfig D = Cfg.deoptlessView();
+  osrInConfig().Opt = CompileOpts.Opt;
+  DeoptlessConfig D;
+  D.Enabled = Cfg.Strategy == TierStrategy::Deoptless;
+  D.FeedbackCleanup = Cfg.FeedbackCleanup;
+  D.MaxContinuations = Cfg.MaxContinuations;
+  D.Opt = CompileOpts.Opt;
   if (Cfg.BackgroundCompile)
     D.AsyncCompile = vmAsyncContinuationCompile;
   configureDeoptless(D);
@@ -416,7 +396,7 @@ Vm::~Vm() {
   lowHooks() = LowHooks();
   setDeoptListener(nullptr);
   configureDeoptless(DeoptlessConfig());
-  osrInConfig() = OsrInConfig();
+  resetOsrIn();
   States.clear();
   // Teardown is the fallback safepoint: no activation of retired code can
   // still be on the stack (epochs are ignored — the executor is gone), so
@@ -547,7 +527,7 @@ FnVersion *Vm::compileVersion(Function *Fn, const CallContext &Ctx) {
   // The shared synchronous/background entry point (compile/service):
   // background jobs run exactly this, under a feedback-snapshot scope.
   return compileAndPublishVersion(Fn, Ctx, stateFor(Fn).Versions,
-                                  Cfg.versionView());
+                                  CompileOpts);
 }
 
 Value Vm::eval(const std::string &Source) {

@@ -203,7 +203,6 @@ public:
     /// deterministic test mode: jobs run only inside drainCompiles(), in
     /// FIFO order, on the draining thread.
     unsigned CompilerThreads = 2;
-    size_t CompileQueueCap = 256; ///< queue bound (backpressure)
     /// A pool shared with other Vms (e.g. one pool, N executor threads).
     /// Not owned; must outlive the Vm. Null: the Vm creates its own.
     CompilerPool *Pool = nullptr;
@@ -229,16 +228,14 @@ public:
       uint32_t BufferCapacity = 0;
     } Trace;
 
-    /// The deoptless view of this configuration (single source of truth
-    /// for the knobs DeoptlessConfig shares with the Vm).
-    DeoptlessConfig deoptlessView() const;
-
     /// The inlining view: the InlineOptions every compile entry point
     /// (versions, OSR-in, deoptless continuations) receives.
     InlineOptions inlineView() const;
 
-    /// The version-compile view (knob copies compile jobs carry).
-    VersionCompileOpts versionView() const;
+    /// The optimizer knob set every compile entry point (versions, OSR-in,
+    /// deoptless continuations) runs under. The Vm builds it once, after
+    /// resolving Backend.
+    OptOptions optOptions() const;
   };
 
   explicit Vm(Config Cfg);
@@ -326,6 +323,9 @@ private:
   friend bool vmAsyncContinuationCompile(Function *, const DeoptContext &);
 
   Config Cfg;
+  /// The whole-function compile knobs (Cfg.optOptions() with the resolved
+  /// backend), built once; OSR-in and deoptless get the same OptOptions.
+  VersionCompileOpts CompileOpts;
   Env *Global;
   std::vector<std::unique_ptr<Module>> Modules;
   /// The native backend when NativeTier is on and supported (owns the

@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 
 using namespace rjit;
 
@@ -103,6 +105,44 @@ TEST(GcHeap, ExternallyHeldObjectsSurvive) {
   EXPECT_EQ(S.heap().size(), 2u);
   EXPECT_EQ(S.heap().collect().Collected, 2u);
   EXPECT_EQ(S.heap().size(), 0u);
+}
+
+/// Builds \p N unreachable self-cycles, each also holding a vector, in a
+/// fresh registry and returns the FreedBytes its collection reports.
+uint64_t collectKnownCycles(unsigned N) {
+  ScopedHeap S;
+  for (unsigned K = 0; K < N; ++K) {
+    Env *E = new Env(nullptr);
+    E->retain();
+    E->set(symbol("self"), Value::environment(E));
+    E->set(symbol("payload"), Value::realVec(std::vector<double>(32, 1.0)));
+    E->release();
+  }
+  GcHeap::CollectStats R = S.heap().collect();
+  EXPECT_EQ(R.Collected, N);
+  return R.FreedBytes;
+}
+
+TEST(GcHeap, FreedBytesIgnoresOtherThreadsTraffic) {
+  // Conservation under concurrency: a sweep reports exactly the bytes it
+  // frees, even while another thread (another Vm's executor, say)
+  // allocates and frees inside the sweep's window.
+  const uint64_t Alone = collectKnownCycles(1000);
+  ASSERT_GT(Alone, 0u);
+  std::atomic<bool> Started{false}, Stop{false};
+  std::thread Churn([&] {
+    while (!Stop.load(std::memory_order_relaxed)) {
+      Value V = Value::realVec(std::vector<double>(256, 2.0));
+      Value W = Value::list({V, V});
+      Started = true;
+    }
+  });
+  while (!Started)
+    std::this_thread::yield();
+  for (int K = 0; K < 100; ++K)
+    EXPECT_EQ(collectKnownCycles(1000), Alone) << "collection " << K;
+  Stop = true;
+  Churn.join();
 }
 
 TEST(GcHeap, LiveBytesGaugeTracksHeapStats) {

@@ -3,6 +3,9 @@
 #include "osr/deopt.h"
 #include "osr/deoptless.h"
 #include "osr/reason.h"
+#include "suite/programs.h"
+#include "support/stats.h"
+#include "vm/vm.h"
 
 #include <gtest/gtest.h>
 
@@ -257,4 +260,49 @@ TEST(DispatchTable, PerFunctionRegistryIsolates) {
   clearDeoptlessTables();
   EXPECT_EQ(deoptlessTableFor(&A).size(), 0u);
   clearDeoptlessTables();
+}
+
+//===----------------------------------------------------------------------===//
+// OSR-in entered inside a loop nest
+
+namespace {
+
+Vm::Config osrOnlyConfig(uint32_t OsrThreshold) {
+  // OSR-in is the only tier-up: no whole-function compile, no injection.
+  Vm::Config C;
+  C.Strategy = TierStrategy::Normal;
+  C.CompileThreshold = 1000000;
+  C.OsrThreshold = OsrThreshold;
+  return C;
+}
+
+} // namespace
+
+TEST(OsrInNested, InnerEntryReenteredWithFreshSequence) {
+  // The entry lands in the inner loop; every later outer trip re-enters
+  // the inner loop over a new, longer sequence 1:a.
+  Vm V(osrOnlyConfig(100));
+  V.eval("f <- function(n) {\n"
+         "  s <- 0L\n"
+         "  for (a in 1:n) for (b in 1:a) s <- s + b\n"
+         "  s\n"
+         "}");
+  resetStats();
+  EXPECT_EQ(V.eval("f(60L)").asIntUnchecked(), 37820); // sum a(a+1)/2
+  EXPECT_GT(stats().OsrInEntries, 0u);
+}
+
+TEST(OsrInNested, RegexdnaInnermostEntryMatchesBaseline) {
+  // The suite's regexdna under OSR-in alone: the 5th call enters at the
+  // innermost loop of its p/i/j for-nest (three (seq, counter) pairs on
+  // the operand stack), after which both enclosing loops re-enter their
+  // inner loops with new sequences (m and limit depend on the pattern).
+  const suite::Program *P = suite::byName("regexdna");
+  ASSERT_TRUE(P);
+  Vm V(osrOnlyConfig(25960));
+  V.eval(P->Setup);
+  resetStats();
+  for (int K = 0; K < 5; ++K)
+    EXPECT_EQ(V.eval(P->Driver).show(), "244L") << "call " << K + 1;
+  EXPECT_EQ(stats().OsrInEntries, 5u);
 }

@@ -491,56 +491,18 @@ constexpr unsigned FuzzShards = 10;
 constexpr unsigned ProgramsPerShard = 50;
 constexpr unsigned TotalFuzzPrograms = FuzzShards * ProgramsPerShard;
 
-// Relaxed counters, defensively: only the synchronous single-threaded
-// sweep absorbs into these (the concurrent mode deliberately stays out,
-// see runProgramPlain), but a future test touching them off-thread must
-// not become a silent data race.
-struct FuzzCoverage {
-  RelaxedCounter InlinedCalls;
-  RelaxedCounter MultiFrameDeopts;
-  RelaxedCounter InlineFramesMaterialized;
-  RelaxedCounter DeoptlessInlineDispatches;
-  RelaxedCounter DeoptlessCompiles;
-  RelaxedCounter Deopts;
-  RelaxedCounter Reoptimizations;
-  RelaxedCounter CtxDispatchHits;
-  RelaxedCounter HoistedGuards;
-  RelaxedCounter HoistedInstrs;
-  RelaxedCounter EliminatedGuards;
-  RelaxedCounter NativeEnters;
-  RelaxedCounter NativeCompiles;
-  RelaxedCounter NativeFusedOps;
-  RelaxedCounter NativeLinkedTransfers;
-  RelaxedCounter GcCollections;
-  RelaxedCounter GcFreedBytes;
-  RelaxedCounter Programs;
+// Only the synchronous single-threaded sweep absorbs into these (the
+// concurrent mode deliberately stays out, see runProgramPlain); VmStats'
+// counters are relaxed atomics, so a future test touching them off-thread
+// cannot become a silent data race.
+struct FuzzTotals {
+  VmStats Stats;           ///< every run's stats() summed
+  RelaxedCounter Programs; ///< generated programs swept
 };
 
-FuzzCoverage &fuzzCoverage() {
-  static FuzzCoverage C;
-  return C;
-}
-
-void absorbStats() {
-  FuzzCoverage &C = fuzzCoverage();
-  const VmStats &S = stats();
-  C.InlinedCalls += S.InlinedCalls;
-  C.MultiFrameDeopts += S.MultiFrameDeopts;
-  C.InlineFramesMaterialized += S.InlineFramesMaterialized;
-  C.DeoptlessInlineDispatches += S.DeoptlessInlineDispatches;
-  C.DeoptlessCompiles += S.DeoptlessCompiles;
-  C.Deopts += S.Deopts;
-  C.Reoptimizations += S.Reoptimizations;
-  C.CtxDispatchHits += S.CtxDispatchHits;
-  C.HoistedGuards += S.HoistedGuards;
-  C.HoistedInstrs += S.HoistedInstrs;
-  C.EliminatedGuards += S.EliminatedGuards;
-  C.NativeEnters += S.NativeEnters;
-  C.NativeCompiles += S.NativeCompiles;
-  C.NativeFusedOps += S.NativeFusedOps;
-  C.NativeLinkedTransfers += S.NativeLinkedTransfers;
-  C.GcCollections += S.GcCollections;
-  C.GcFreedBytes += S.GcFreedBytes;
+FuzzTotals &fuzzTotals() {
+  static FuzzTotals T;
+  return T;
 }
 
 std::string driversOf(const GenProg &P) {
@@ -557,7 +519,7 @@ std::string runProgram(const GenProg &P, Vm::Config C) {
   std::string Out;
   for (const std::string &D : P.Drivers)
     Out += V.eval(D).show() + "\n";
-  absorbStats();
+  fuzzTotals().Stats += stats();
   return Out;
 }
 
@@ -571,7 +533,7 @@ TEST_P(DiffFuzz, AllConfigurationsAgree) {
         static_cast<uint64_t>(GetParam()) * 10007 + K * 131 + 17;
     ProgramGen G(Seed);
     GenProg P = G.generate();
-    ++fuzzCoverage().Programs;
+    ++fuzzTotals().Programs;
 
     std::string Base = runProgram(P, cfg(TierStrategy::BaselineOnly));
     for (TierStrategy S : {TierStrategy::Normal, TierStrategy::Deoptless,
@@ -668,10 +630,10 @@ namespace {
 /// concurrent sweep; every shard runs this many).
 constexpr unsigned ConcurrentExecutors = 4;
 
-/// Like runProgram, but without absorbStats(): the process-global stats
-/// are meaningless while sibling executor threads reset and bump them
-/// concurrently, and absorbing that noise into fuzzCoverage could mask a
-/// coverage regression in the synchronous sweep.
+/// Like runProgram, but without summing stats() into fuzzTotals: the
+/// process-global stats are meaningless while sibling executor threads
+/// reset and bump them concurrently, and absorbing that noise could mask
+/// a coverage regression in the synchronous sweep.
 std::string runProgramPlain(const GenProg &P, Vm::Config C) {
   Vm V(C);
   V.eval(P.Setup);
@@ -813,9 +775,9 @@ namespace {
 class FuzzCoverageCheck : public ::testing::Environment {
 public:
   void TearDown() override {
-    const FuzzCoverage &C = fuzzCoverage();
-    if (C.Programs < TotalFuzzPrograms)
+    if (fuzzTotals().Programs < TotalFuzzPrograms)
       return; // filtered run: coverage is only meaningful for the sweep
+    const VmStats &C = fuzzTotals().Stats;
     EXPECT_GT(C.InlinedCalls, 0u) << "no program inlined anything";
     EXPECT_GT(C.MultiFrameDeopts, 0u)
         << "no OSR-out ever crossed an inlined frame";

@@ -2,6 +2,7 @@
 
 #include "native/native.h"
 #include "osr/deoptless.h"
+#include "osr/osrin.h"
 #include "support/stats.h"
 #include "vm/vm.h"
 
@@ -160,6 +161,24 @@ TEST(VmOsrIn, DisabledMeansNoEntries) {
   resetStats();
   V.eval("s <- 0L\nfor (i in 1:5000) s <- s + i\ns");
   EXPECT_EQ(stats().OsrInEntries, 0u);
+}
+
+TEST(VmOsrIn, BlacklistDiesWithItsVm) {
+  // A failed OSR-in compile blacklists its Function for the thread. The
+  // entry must go with the Vm: a later Vm on this thread may allocate a
+  // Function at the same address, which would then never be OSR-compiled.
+  Function *Fn = nullptr;
+  {
+    Vm V(cfg(TierStrategy::Normal));
+    V.eval("g <- function(n) { s <- 0L\nfor (i in 1:n) s <- s + i\ns }");
+    Fn = V.eval("g").closObj()->Fn;
+    osrInBlacklist(Fn);
+    resetStats();
+    EXPECT_EQ(V.eval("g(1000L)").asIntUnchecked(), 500500);
+    EXPECT_EQ(stats().OsrInEntries, 0u) << "blacklisted function OSR-ed in";
+  }
+  // Compared by address only; the Function itself died with its Vm.
+  EXPECT_FALSE(osrInBlacklisted(Fn));
 }
 
 //===----------------------------------------------------------------------===//
